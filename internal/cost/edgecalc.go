@@ -509,21 +509,65 @@ type dirStream struct {
 // Block returns a fresh per-goroutine streaming row evaluator.
 func (c *EdgeCalc) Block() *BlockEval {
 	be := &BlockEval{c: c}
-	be.fwd.init(&c.fwd, len(c.fwdVol))
-	be.bwd.init(&c.bwd, len(c.fwdVol))
+	nRows, nCols := len(c.bwdVol), len(c.fwdVol)
+	be.fwd.init(&c.fwd, nRows, nCols)
+	be.bwd.init(&c.bwd, nRows, nCols)
 	return be
 }
 
-func (s *dirStream) init(d *dirCalc, nCols int) {
+// Memo start-size caps: the largest start a table gets, however many keys
+// it could hold. Beyond these a table grows on demand.
+const (
+	cellMemoCap  = 1 << 16
+	comboMemoCap = 1 << 12
+)
+
+// memoStart is the start size for a memo that can ever hold at most bound
+// distinct keys: twice the bound, so the table never grows (put keeps the
+// load at most 1/2), capped at limit.
+func memoStart(bound uint64, limit int) int {
+	if bound >= uint64(limit/2) {
+		return limit
+	}
+	return int(2 * bound)
+}
+
+// keyBound returns min(Π radix[i], limit): the size of a packed
+// mixed-radix key space, saturated at limit.
+func keyBound(radix []int32, limit uint64) uint64 {
+	n := uint64(1)
+	for _, r := range radix {
+		if n >= limit {
+			return limit
+		}
+		n *= uint64(r)
+	}
+	return min(n, limit)
+}
+
+func (s *dirStream) init(d *dirCalc, nRows, nCols int) {
 	s.de = dirEval{d: d,
 		buf: make([]float64, d.perNode*d.perNode), vids: make([]int32, len(d.pairs))}
-	// The cell memo serves every cell of the matrix; starting at 64k slots
-	// skips the early grow/rehash rounds a 4k start pays on big matrices.
-	// Sizing it from the full cell count was measured SLOWER: realized keys
-	// run ~10% of cells, and a near-empty giant table costs a cache miss per
-	// probe where the compact grown table stays hot.
-	s.de.cells.initSize(1 << 16)
-	s.de.combo.init()
+	// Each memo is sized from an upper bound on the distinct keys it can
+	// ever hold: a cell key is one per matrix cell and a mixed-radix number
+	// over the per-pair node-vector counts, so at most
+	// min(rows×cols, Π nVec) cells; a combo key packs node-block ids, so at
+	// most Π nBlk. Starting at twice the bound, a small matrix zeroes only
+	// what it can use: at 1–8 devices a fixed 64k start (≈1.5 MB per band
+	// and direction) cost more than the fill itself. The start is capped at
+	// 64k cells / 4k combos because sizing a big table from its full bound
+	// was measured SLOWER: realized keys run ~10% of cells, and a sparse
+	// giant table costs a cache miss per probe where the compact grown
+	// table stays hot.
+	cellBound, comboBound := uint64(0), uint64(0)
+	if d.cellMemo {
+		cellBound = keyBound(d.nVec, uint64(nRows)*uint64(nCols))
+	}
+	if d.comboMemo {
+		comboBound = keyBound(d.nBlk, comboMemoCap)
+	}
+	s.de.cells.initSize(memoStart(cellBound, cellMemoCap))
+	s.de.combo.initSize(memoStart(comboBound, comboMemoCap))
 	s.row = make([]frac, nCols) // stays all-zero for an unmapped direction
 	s.rowSl = make([][]int32, len(d.pairs))
 	if len(d.pairs) == 2 && d.cellMemo {
@@ -695,6 +739,10 @@ type cellTab struct {
 	shift uint8
 }
 
+// minTabLog is the log2 of the smallest table: a few slots, so a probe
+// always finds an empty one.
+const minTabLog = 3
+
 type cellSlot struct {
 	key    uint64
 	fi, fe float64
@@ -702,11 +750,11 @@ type cellSlot struct {
 
 func (t *cellTab) init() { t.initSize(1 << 12) }
 
-// initSize starts the table with a power-of-two slot count ≥ size, letting
-// callers that expect many entries skip the early grow/rehash rounds.
+// initSize starts the table with a power-of-two slot count ≥ size (at
+// least 1<<minTabLog), letting callers size it to the keys they expect.
 // Capacity never affects lookup results, only allocation churn.
 func (t *cellTab) initSize(size int) {
-	logSize := uint8(12)
+	logSize := uint8(minTabLog)
 	for 1<<logSize < size {
 		logSize++
 	}
